@@ -60,6 +60,7 @@ bench-record:
 		benchmarks/bench_fleet_overhead.py \
 		benchmarks/bench_lineage_overhead.py \
 		benchmarks/bench_lint_speed.py \
+		benchmarks/bench_row_step.py \
 		--benchmark-only -q
 	PYTHONPATH=src python -m repro perf record \
 		--dataset url --scale test --store $(BENCH_STORE)
@@ -74,6 +75,7 @@ bench-check:
 		benchmarks/bench_fleet_overhead.py \
 		benchmarks/bench_lineage_overhead.py \
 		benchmarks/bench_lint_speed.py \
+		benchmarks/bench_row_step.py \
 		--benchmark-only -q
 
 examples:

@@ -15,6 +15,13 @@ from typing import Optional
 from repro.exceptions import ValidationError
 
 
+def check_online_batch_rows(value: Optional[int]) -> Optional[int]:
+    """Validate an online-update row-slice size (``None`` or >= 1)."""
+    if value is not None and value < 1:
+        raise ValidationError(f"online_batch_rows must be >= 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     """Which proactive-training scheduler to build.
@@ -136,11 +143,7 @@ class ContinuousConfig:
     online_batch_rows: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.online_batch_rows is not None and self.online_batch_rows < 1:
-            raise ValidationError(
-                f"online_batch_rows must be >= 1, "
-                f"got {self.online_batch_rows}"
-            )
+        check_online_batch_rows(self.online_batch_rows)
         if self.sample_size_chunks < 1:
             raise ValidationError(
                 f"sample_size_chunks must be >= 1, "

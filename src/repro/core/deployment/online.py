@@ -13,6 +13,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.config import check_online_batch_rows
 from repro.core.deployment.base import Deployment, DeploymentResult
 from repro.data.table import Table
 from repro.execution.cost import CostModel
@@ -51,7 +52,7 @@ class OnlineDeployment(Deployment):
             fault_plan=fault_plan,
             retry=retry,
         )
-        self.online_batch_rows = online_batch_rows
+        self.online_batch_rows = check_online_batch_rows(online_batch_rows)
         self.pipeline = pipeline
         self._model = model
         self.optimizer = optimizer
@@ -87,19 +88,9 @@ class OnlineDeployment(Deployment):
         features = self.engine.online_pass(self.pipeline, table)
         if not features.num_rows:
             return
-        rows = self.online_batch_rows
-        if rows is None or rows >= features.num_rows:
-            self.engine.train_step(
-                self.trainer, features.matrix, features.labels
-            )
-        else:
-            for start in range(0, features.num_rows, rows):
-                stop = start + rows
-                self.engine.train_step(
-                    self.trainer,
-                    features.matrix[start:stop],
-                    features.labels[start:stop],
-                )
+        self.engine.online_update(
+            self.trainer, features, self.online_batch_rows
+        )
         self.online_updates += 1
 
     def _current_cost(self) -> float:

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import PeriodicalConfig
+from repro.core.config import PeriodicalConfig, check_online_batch_rows
 from repro.core.deployment.base import Deployment, DeploymentResult
 from repro.core.pipeline_manager import PipelineManager
 from repro.data.manager import DataManager
@@ -111,7 +111,7 @@ class ThresholdRetrainingDeployment(Deployment):
         self.cooldown_chunks = int(cooldown_chunks)
         self.min_absolute_delta = float(min_absolute_delta)
         self.config = config if config is not None else PeriodicalConfig()
-        self.online_batch_rows = online_batch_rows
+        self.online_batch_rows = check_online_batch_rows(online_batch_rows)
         self.engine = LocalExecutionEngine(
             cost_model, telemetry=self.telemetry
         )

@@ -166,32 +166,13 @@ class PipelineManager:
     def online_step(
         self, features: Features, batch_rows: Optional[int] = None
     ) -> float:
-        """Online SGD on a freshly arrived chunk.
+        """Online SGD on a freshly arrived chunk; returns the last objective.
 
-        ``batch_rows=None`` takes one mini-batch step over the whole
-        chunk. ``batch_rows=k`` consumes the chunk in consecutive
-        slices of ``k`` rows, one SGD step each — ``k=1`` is classic
-        point-at-a-time online gradient descent, the noisy baseline
-        the paper's online deployment uses ("visits every incoming
-        training data point only once"). Returns the last objective.
+        ``batch_rows`` as in :meth:`LocalExecutionEngine.online_update`
+        (``None`` = one step on the whole chunk, ``1`` = point at a
+        time).
         """
-        if batch_rows is None or batch_rows >= features.num_rows:
-            return self.engine.train_step(
-                self.trainer, features.matrix, features.labels
-            )
-        if batch_rows < 1:
-            raise PipelineError(
-                f"batch_rows must be >= 1, got {batch_rows}"
-            )
-        objective = 0.0
-        for start in range(0, features.num_rows, batch_rows):
-            stop = start + batch_rows
-            objective = self.engine.train_step(
-                self.trainer,
-                features.matrix[start:stop],
-                features.labels[start:stop],
-            )
-        return objective
+        return self.engine.online_update(self.trainer, features, batch_rows)
 
     # ------------------------------------------------------------------
     # Prediction serving

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro.exceptions import PipelineError
 from repro.execution.cost import CostModel, CostTracker
 from repro.ml.models.base import LinearSGDModel, Matrix
 from repro.ml.sgd import SGDTrainer, TrainingResult
@@ -130,6 +131,91 @@ class LocalExecutionEngine:
         ):
             with self.wall:
                 return trainer.step(features, targets, self.tracker)
+
+    def train_row(
+        self,
+        trainer: SGDTrainer,
+        data: np.ndarray,
+        indices: np.ndarray,
+        target: float,
+        with_objective: bool = False,
+    ) -> Optional[float]:
+        """:meth:`train_step` on one CSR row given as its raw arrays.
+
+        Same charge and, when traced, the same ``engine.train_step``
+        span as a one-row :meth:`train_step`.
+        """
+        if self._obs is None:
+            with self.wall:
+                return trainer.step_row(
+                    data, indices, target, self.tracker, with_objective
+                )
+        with self._obs.tracer.span(
+            names.ENGINE_TRAIN_STEP, values=len(data)
+        ):
+            with self.wall:
+                return trainer.step_row(
+                    data, indices, target, self.tracker, with_objective
+                )
+
+    def online_update(
+        self,
+        trainer: SGDTrainer,
+        features: Features,
+        batch_rows: Optional[int] = None,
+    ) -> float:
+        """Online SGD on a freshly arrived chunk; returns the last objective.
+
+        ``batch_rows=None`` takes one mini-batch step over the whole
+        chunk. ``batch_rows=k`` consumes the chunk in consecutive
+        slices of ``k`` rows, one SGD step each — ``k=1`` is classic
+        point-at-a-time online gradient descent, the noisy baseline
+        the paper's online deployment uses ("visits every incoming
+        training data point only once").
+
+        A CSR chunk with ``k=1`` steps on its raw row arrays
+        (:meth:`train_row`) instead of slicing a one-row matrix per
+        point; the weights, optimizer state, charges and spans are
+        bit-identical. Dense chunks and ``k>1`` slices take
+        :meth:`train_step`.
+        """
+        matrix, labels = features.matrix, features.labels
+        rows = features.num_rows
+        if batch_rows is None or batch_rows >= rows:
+            return self.train_step(trainer, matrix, labels)
+        if batch_rows < 1:
+            raise PipelineError(
+                f"batch_rows must be >= 1, got {batch_rows}"
+            )
+        if batch_rows == 1 and sp.issparse(matrix) and matrix.format == "csr":
+            return self._train_rows(trainer, matrix, labels)
+        objective = 0.0
+        for start in range(0, rows, batch_rows):
+            stop = start + batch_rows
+            objective = self.train_step(
+                trainer, matrix[start:stop], labels[start:stop]
+            )
+        return objective
+
+    def _train_rows(
+        self, trainer: SGDTrainer, matrix: sp.csr_matrix, labels
+    ) -> float:
+        trainer.model.check_features(matrix)
+        targets = np.asarray(labels, dtype=np.float64).tolist()
+        bounds = matrix.indptr.tolist()
+        data, indices = matrix.data, matrix.indices
+        last = len(targets) - 1
+        objective = 0.0
+        for row, target in enumerate(targets):
+            start, stop = bounds[row], bounds[row + 1]
+            objective = self.train_row(
+                trainer,
+                data[start:stop],
+                indices[start:stop],
+                target,
+                with_objective=row == last,
+            )
+        return objective
 
     def train_full(
         self,

@@ -18,7 +18,7 @@ the algebra below works for both.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,7 +83,7 @@ class LinearSGDModel:
         bit-identical to the same row served alone. The per-row
         reduction order depends only on ``num_features``.
         """
-        self._check_features(features)
+        self.check_features(features)
         if sp.issparse(features):
             scores = features.dot(self.weights)
             scores = np.asarray(scores).ravel()
@@ -127,6 +127,52 @@ class LinearSGDModel:
             grad_b = float(dloss.mean())
             return np.concatenate([grad_w, [grad_b]]), objective
         return grad_w, objective
+
+    def row_gradient(
+        self,
+        data: np.ndarray,
+        indices: np.ndarray,
+        target: float,
+        with_objective: bool = False,
+    ) -> Tuple[np.ndarray, Optional[float]]:
+        """:meth:`gradient` of one CSR row, straight from its raw arrays.
+
+        ``data`` and ``indices`` are the row's slices of a CSR matrix's
+        ``data``/``indices``. The result is bit-identical to
+        :meth:`gradient` on the one-row ``csr_matrix``, without
+        building it, its transpose, or a CSC copy, because every
+        reduction repeats scipy's order:
+
+        * the decision value is a sequential sum from ``0.0`` in CSR
+          order, as ``csr_matvec`` computes ``X w``;
+        * the weight gradient scatters ``value * dloss`` into a zeroed
+          vector, as ``csc_matvec`` computes ``Xᵀ dloss``, and only
+          then adds the regularizer gradient;
+        * the intercept gradient is ``0.0 + dloss``: numpy's one-value
+          mean (a ``-0.0`` becomes ``0.0``).
+
+        The objective needs an O(``num_features``) penalty, so it is
+        only computed ``with_objective``; otherwise it is ``None``.
+        """
+        weights = self.weights
+        decision = 0.0
+        for product in (data * weights[indices]).tolist():
+            decision += product
+        decisions = np.array([decision + self.intercept])
+        targets = np.array([target], dtype=np.float64)
+        dloss = self.loss.dvalue(decisions, targets)
+        grad = np.zeros(self.num_params, dtype=np.float64)
+        grad_w = grad[: self.num_features]
+        np.add.at(grad_w, indices, data * dloss[0])
+        grad_w += self.regularizer.gradient(weights)
+        if self.fit_intercept:
+            grad[-1] = 0.0 + dloss[0]
+        objective = None
+        if with_objective:
+            objective = self.loss.value(decisions, targets) + (
+                self.regularizer.penalty(weights)
+            )
+        return grad, objective
 
     def objective(self, features: Matrix, targets: np.ndarray) -> float:
         """Regularized loss on a batch (no gradient)."""
@@ -200,7 +246,8 @@ class LinearSGDModel:
         self.updates_applied = 0
 
     # ------------------------------------------------------------------
-    def _check_features(self, features: Matrix) -> None:
+    def check_features(self, features: Matrix) -> None:
+        """Raise unless ``features`` is 2-D and ``num_features`` wide."""
         if features.ndim != 2:
             raise ValidationError(
                 f"features must be 2-D, got shape {features.shape}"

@@ -74,12 +74,41 @@ class SGDTrainer:
         online update).
         """
         grad, objective = self.model.gradient(features, targets)
+        self._apply(grad, _batch_values(features), tracker)
+        return objective
+
+    def step_row(
+        self,
+        data: np.ndarray,
+        indices: np.ndarray,
+        target: float,
+        tracker: Optional["CostTracker"] = None,
+        with_objective: bool = False,
+    ) -> Optional[float]:
+        """:meth:`step` on one CSR row given as its raw arrays.
+
+        Bit-identical to :meth:`step` on the one-row matrix (see
+        :meth:`LinearSGDModel.row_gradient`), with the same optimizer
+        update and training charge. Returns the objective only
+        ``with_objective``, else ``None``.
+        """
+        grad, objective = self.model.row_gradient(
+            data, indices, target, with_objective
+        )
+        self._apply(grad, len(data), tracker)
+        return objective
+
+    def _apply(
+        self,
+        grad: np.ndarray,
+        values: int,
+        tracker: Optional["CostTracker"],
+    ) -> None:
         new_params = self.optimizer.step(self.model.params_vector(), grad)
         self.model.set_params_vector(new_params)
         self.model.updates_applied += 1
         if tracker is not None:
-            tracker.charge_training(_batch_values(features), "sgd_step")
-        return objective
+            tracker.charge_training(values, "sgd_step")
 
     def train(
         self,
