@@ -61,6 +61,7 @@ bench-record:
 		benchmarks/bench_lineage_overhead.py \
 		benchmarks/bench_lint_speed.py \
 		benchmarks/bench_row_step.py \
+		benchmarks/bench_sparse_chain.py \
 		--benchmark-only -q
 	PYTHONPATH=src python -m repro perf record \
 		--dataset url --scale test --store $(BENCH_STORE)
@@ -76,6 +77,7 @@ bench-check:
 		benchmarks/bench_lineage_overhead.py \
 		benchmarks/bench_lint_speed.py \
 		benchmarks/bench_row_step.py \
+		benchmarks/bench_sparse_chain.py \
 		--benchmark-only -q
 
 examples:

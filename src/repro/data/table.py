@@ -1,8 +1,10 @@
 """A minimal column-oriented table.
 
 Raw training data flows through the pipeline as a :class:`Table`: an
-ordered mapping of column name to a 1-D :class:`numpy.ndarray`, all of
-equal length. Components append, drop, and rewrite columns; row filters
+ordered mapping of column name to a 1-D :class:`numpy.ndarray` (or,
+for sparse feature rows, a columnar
+:class:`~repro.data.sparse_rows.SparseRows`), all of equal length.
+Components append, drop, and rewrite columns; row filters
 (the anomaly detector) select subsets of rows across every column at
 once.
 
@@ -14,11 +16,15 @@ with strict schema checking (:class:`repro.exceptions.SchemaError`).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Union
 
 import numpy as np
 
+from repro.data.sparse_rows import SparseRows
 from repro.exceptions import SchemaError
+
+#: A table column: a 1-D numpy array, or sparse rows kept columnar.
+Column = Union[np.ndarray, SparseRows]
 
 
 class Table:
@@ -29,32 +35,43 @@ class Table:
     columns:
         Mapping of column name to 1-D array-like. All columns must have
         the same length. Arrays are converted with ``np.asarray`` and
-        never copied when already ndarrays, so callers must not mutate
-        the inputs afterwards.
+        never copied when already ndarrays (``SparseRows`` are kept as
+        they are), so callers must not mutate the inputs afterwards.
     """
 
     __slots__ = ("_columns", "_num_rows", "_cached_num_values")
 
     def __init__(self, columns: Mapping[str, Sequence] | None = None) -> None:
-        self._columns: Dict[str, np.ndarray] = {}
-        self._num_rows = 0
-        self._cached_num_values: int | None = None
-        first = True
+        checked: Dict[str, Column] = {}
+        num_rows = 0
         for name, values in (columns or {}).items():
-            array = np.asarray(values)
-            if array.ndim != 1:
-                raise SchemaError(
-                    f"column {name!r} must be 1-D, got shape {array.shape}"
-                )
-            if first:
-                self._num_rows = len(array)
-                first = False
-            elif len(array) != self._num_rows:
+            array = _as_column(name, values)
+            if not checked:
+                num_rows = len(array)
+            elif len(array) != num_rows:
                 raise SchemaError(
                     f"column {name!r} has {len(array)} rows, "
-                    f"expected {self._num_rows}"
+                    f"expected {num_rows}"
                 )
-            self._columns[str(name)] = array
+            checked[str(name)] = array
+        self._columns = checked
+        self._num_rows = num_rows
+        self._cached_num_values: int | None = None
+
+    @classmethod
+    def _from_checked(cls, columns: Dict[str, Column]) -> "Table":
+        """A table over columns that are already 1-D and of one length.
+
+        The functional updates below derive every column from checked
+        ones, so they skip the per-column conversion and checks.
+        """
+        table = object.__new__(cls)
+        table._columns = columns
+        table._num_rows = (
+            len(next(iter(columns.values()))) if columns else 0
+        )
+        table._cached_num_values = None
+        return table
 
     # ------------------------------------------------------------------
     # Introspection
@@ -85,15 +102,18 @@ class Table:
 
         This is the quantity *p* in the paper's §3.2.1 size analysis
         and the unit the cost model charges per scan. Numeric cells
-        count 1 each; an object cell holding a sparse ``{index: value}``
-        dict counts its entries; an object cell holding a raw text
+        count 1 each; a sparse row counts its entries (a
+        ``SparseRows`` column its ``nnz``, an object cell holding an
+        ``{index: value}`` dict its length); an object cell holding a raw text
         record counts its whitespace-separated tokens. The count is
         computed lazily and cached (tables are immutable).
         """
         if self._cached_num_values is None:
             total = 0
             for array in self._columns.values():
-                if array.dtype == object and len(array):
+                if isinstance(array, SparseRows):
+                    total += array.nnz
+                elif array.dtype == object and len(array):
                     total += _object_column_values(array)
                 else:
                     total += len(array)
@@ -115,7 +135,7 @@ class Table:
         if self.column_names != other.column_names:
             return False
         return all(
-            np.array_equal(self._columns[c], other._columns[c])
+            _columns_equal(self._columns[c], other._columns[c])
             for c in self._columns
         )
 
@@ -126,7 +146,7 @@ class Table:
     # ------------------------------------------------------------------
     # Column access
     # ------------------------------------------------------------------
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str) -> Column:
         """Return the array for column ``name``.
 
         Raises :class:`SchemaError` when the column does not exist; the
@@ -140,7 +160,7 @@ class Table:
                 f"no column {name!r}; available: {self.column_names}"
             ) from None
 
-    def __getitem__(self, name: str) -> np.ndarray:
+    def __getitem__(self, name: str) -> Column:
         return self.column(name)
 
     # ------------------------------------------------------------------
@@ -148,7 +168,7 @@ class Table:
     # ------------------------------------------------------------------
     def with_column(self, name: str, values: Sequence) -> "Table":
         """Return a new table with column ``name`` added or replaced."""
-        array = np.asarray(values)
+        array = _as_column(name, values)
         if self._columns and len(array) != self._num_rows:
             raise SchemaError(
                 f"column {name!r} has {len(array)} rows, "
@@ -156,7 +176,7 @@ class Table:
             )
         columns = dict(self._columns)
         columns[str(name)] = array
-        return Table(columns)
+        return Table._from_checked(columns)
 
     def with_columns(self, new: Mapping[str, Sequence]) -> "Table":
         """Return a new table with all columns in ``new`` added/replaced."""
@@ -175,13 +195,15 @@ class Table:
         unknown = drop - set(self._columns)
         if unknown:
             raise SchemaError(f"cannot drop unknown columns {sorted(unknown)}")
-        return Table(
+        return Table._from_checked(
             {n: v for n, v in self._columns.items() if n not in drop}
         )
 
     def select(self, names: Sequence[str]) -> "Table":
         """Return a new table containing exactly ``names`` in order."""
-        return Table({name: self.column(name) for name in names})
+        return Table._from_checked(
+            {str(name): self.column(name) for name in names}
+        )
 
     def filter_rows(self, mask: Sequence[bool]) -> "Table":
         """Return a new table with only the rows where ``mask`` is true."""
@@ -191,16 +213,22 @@ class Table:
                 f"mask has {len(mask_array)} entries, "
                 f"expected {self._num_rows}"
             )
-        return Table({n: v[mask_array] for n, v in self._columns.items()})
+        return Table._from_checked(
+            {n: v[mask_array] for n, v in self._columns.items()}
+        )
 
     def take(self, indices: Sequence[int]) -> "Table":
         """Return a new table with the rows at ``indices`` (in order)."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Table({n: v[idx] for n, v in self._columns.items()})
+        return Table._from_checked(
+            {n: v[idx] for n, v in self._columns.items()}
+        )
 
     def head(self, count: int) -> "Table":
         """Return the first ``count`` rows."""
-        return Table({n: v[:count] for n, v in self._columns.items()})
+        return Table._from_checked(
+            {n: v[:count] for n, v in self._columns.items()}
+        )
 
     # ------------------------------------------------------------------
     # Combination / conversion
@@ -218,8 +246,8 @@ class Table:
                     f"schema mismatch in concat: {table.column_names} "
                     f"vs {names}"
                 )
-        return Table(
-            {n: np.concatenate([t.column(n) for t in tables]) for n in names}
+        return Table._from_checked(
+            {n: _concat_column([t.column(n) for t in tables]) for n in names}
         )
 
     def to_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
@@ -231,7 +259,7 @@ class Table:
             [np.asarray(self.column(n), dtype=np.float64) for n in names]
         )
 
-    def to_dict(self) -> Dict[str, np.ndarray]:
+    def to_dict(self) -> Dict[str, Column]:
         """Return a shallow copy of the column mapping."""
         return dict(self._columns)
 
@@ -247,13 +275,14 @@ class Table:
         chunk-node identity the provenance ledger records. Numeric
         columns hash their raw bytes; object columns (sparse
         ``{index: value}`` dicts, raw text records) hash a canonical
-        per-cell rendering.
+        per-cell rendering. A ``SparseRows`` column renders each row as
+        that same dict, so both forms of one content hash alike.
         """
         body = hashlib.sha256()
         for name, array in self._columns.items():
             body.update(name.encode("utf-8"))
             body.update(b"\x00")
-            if array.dtype == object:
+            if isinstance(array, SparseRows) or array.dtype == object:
                 for cell in array:
                     body.update(_object_cell_bytes(cell))
                     body.update(b"\x1e")
@@ -262,6 +291,31 @@ class Table:
                 body.update(np.ascontiguousarray(array).tobytes())
             body.update(b"\x00")
         return body.hexdigest()
+
+
+def _as_column(name: str, values: Sequence) -> Column:
+    """``values`` as a checked column: sparse rows as they are, anything
+    else through ``np.asarray`` and a 1-D check."""
+    if isinstance(values, SparseRows):
+        return values
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise SchemaError(
+            f"column {name!r} must be 1-D, got shape {array.shape}"
+        )
+    return array
+
+
+def _columns_equal(left: Column, right: Column) -> bool:
+    if isinstance(left, SparseRows) or isinstance(right, SparseRows):
+        return SparseRows.of(left) == SparseRows.of(right)
+    return np.array_equal(left, right)
+
+
+def _concat_column(parts: List[Column]) -> Column:
+    if any(isinstance(part, SparseRows) for part in parts):
+        return SparseRows.concat([SparseRows.of(part) for part in parts])
+    return np.concatenate(parts)
 
 
 def _object_cell_bytes(cell: object) -> bytes:

@@ -1,8 +1,8 @@
 """Feature hashing (the hashing trick).
 
-Terminal component of the URL pipeline: maps sparse ``{index: value}``
-rows into a fixed-width :class:`scipy.sparse.csr_matrix` by hashing each
-feature index into one of ``num_features`` buckets. Signed hashing
+Terminal component of the URL pipeline: maps sparse rows into a
+fixed-width :class:`scipy.sparse.csr_matrix` by hashing each feature
+index into one of ``num_features`` buckets. Signed hashing
 (sign drawn from a hash bit) keeps collisions unbiased in expectation.
 
 Hashing is stateless and deterministic — independent of
@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.data.sparse_rows import SparseRows
 from repro.data.table import Table
 from repro.exceptions import PipelineError, ValidationError
 from repro.pipeline.component import (
@@ -34,7 +35,9 @@ def hash_index(index: int, num_features: int) -> Tuple[int, float]:
     """Map a feature index to ``(bucket, sign)`` deterministically.
 
     The bucket comes from CRC-32 of the decimal index modulo
-    ``num_features``; the sign from the hash's top bit.
+    ``num_features``; the sign from the hash's top bit. This is the
+    scalar definition; :class:`FeatureHasher` applies it to a chunk's
+    distinct indices at once.
     """
     digest = zlib.crc32(b"%d" % index)
     bucket = digest % num_features
@@ -43,7 +46,7 @@ def hash_index(index: int, num_features: int) -> Tuple[int, float]:
 
 
 class FeatureHasher(StatelessComponent):
-    """Hash sparse-dict rows into a fixed-width CSR matrix + labels.
+    """Hash sparse rows into a fixed-width CSR matrix + labels.
 
     Parameters
     ----------
@@ -82,34 +85,43 @@ class FeatureHasher(StatelessComponent):
             raise PipelineError(
                 f"{self.name} expects a Table, got {type(batch).__name__}"
             )
-        rows = batch.column(self.features_column)
+        rows = SparseRows.of(batch.column(self.features_column))
         labels = np.asarray(
             batch.column(self.label_column), dtype=np.float64
         )
-        data: list[float] = []
-        indices: list[int] = []
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         width = self.num_features
-        for position, row in enumerate(rows):
-            # Aggregate duplicate buckets within a row so CSR stays
-            # canonical even under collisions.
-            bucket_values: dict[int, float] = {}
-            for index, value in row.items():
-                bucket, sign = hash_index(index, width)
-                contribution = value * sign if self.signed else value
-                bucket_values[bucket] = (
-                    bucket_values.get(bucket, 0.0) + contribution
-                )
-            ordered = sorted(bucket_values.items())
-            indices.extend(bucket for bucket, __ in ordered)
-            data.extend(value for __, value in ordered)
-            indptr[position + 1] = len(indices)
+        num_rows = len(rows)
+        # Hash each distinct index once.
+        distinct, inverse = np.unique(rows.indices, return_inverse=True)
+        crc32 = zlib.crc32
+        digests = np.array(
+            [crc32(b"%d" % index) for index in distinct.tolist()],
+            dtype=np.int64,
+        )
+        buckets = (digests % width)[inverse]
+        contributions = rows.values
+        if self.signed:
+            signs = np.where(digests & 0x80000000, -1.0, 1.0)
+            contributions = contributions * signs[inverse]
+        # Colliding values of one row sum into one cell so the CSR stays
+        # canonical. bincount adds each cell's contributions in input
+        # order starting from 0.0, as a per-row dict accumulation does.
+        row_of = np.repeat(
+            np.arange(num_rows, dtype=np.int64), np.diff(rows.indptr)
+        )
+        cells, cell_of = np.unique(
+            row_of * width + buckets, return_inverse=True
+        )
+        data = np.bincount(
+            cell_of, weights=contributions, minlength=len(cells)
+        ).astype(np.float64, copy=False)
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(cells // width, minlength=num_rows),
+            out=indptr[1:],
+        )
         matrix = sp.csr_matrix(
-            (
-                np.asarray(data, dtype=np.float64),
-                np.asarray(indices, dtype=np.int64),
-                indptr,
-            ),
-            shape=(len(rows), width),
+            (data, cells % width, indptr),
+            shape=(num_rows, width),
         )
         return Features(matrix=matrix, labels=labels)

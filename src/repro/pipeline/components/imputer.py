@@ -4,8 +4,8 @@ Two variants, matching the two data shapes in the paper pipelines:
 
 * :class:`MissingValueImputer` — dense numeric ``Table`` columns;
   fills ``NaN`` with the running mean (or a constant).
-* :class:`SparseMeanImputer` — ``{index: value}`` sparse rows (URL
-  pipeline); fills ``NaN`` entries with the per-index running mean.
+* :class:`SparseMeanImputer` — sparse rows (URL pipeline); fills
+  ``NaN`` entries with the per-index running mean.
 
 Both learn their statistics incrementally during the online pass
 (§3.1), so imputation during proactive training needs no extra scan.
@@ -13,10 +13,11 @@ Both learn their statistics incrementally during the online pass
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.data.sparse_rows import SparseRows
 from repro.data.table import Table
 from repro.exceptions import PipelineError, ValidationError
 from repro.pipeline.component import Batch, ComponentKind, PipelineComponent
@@ -105,11 +106,12 @@ class MissingValueImputer(PipelineComponent):
 
 
 class SparseMeanImputer(PipelineComponent):
-    """Fill ``NaN`` entries of sparse-dict feature rows with index means.
+    """Fill ``NaN`` entries of sparse feature rows with index means.
 
-    Rows are ``{index: value}`` dictionaries (see
-    :class:`~repro.pipeline.components.parser.SvmLightParser`). An index
-    whose mean is still unknown falls back to ``fill_value``.
+    Rows are a :class:`~repro.data.sparse_rows.SparseRows` column (see
+    :class:`~repro.pipeline.components.parser.SvmLightParser`); an
+    object column of ``{index: value}`` dicts is read the same way. An
+    index whose mean is still unknown falls back to ``fill_value``.
     """
 
     kind = ComponentKind.DATA_TRANSFORMATION
@@ -131,35 +133,29 @@ class SparseMeanImputer(PipelineComponent):
         return len(self._moments)
 
     def update(self, batch: Batch) -> None:
-        rows = self._rows(batch)
-        self._moments.update(rows)
+        table = self._require_table(batch)
+        self._moments.update(table.column(self.features_column))
 
     def transform(self, batch: Batch) -> Batch:
         table = self._require_table(batch)
-        rows = self._rows(table)
+        rows = SparseRows.of(table.column(self.features_column))
+        missing = np.isnan(rows.values)
+        if not missing.any():
+            return table
         moments = self._moments
         fill = self.fill_value
-        imputed = np.empty(len(rows), dtype=object)
-        for position, row in enumerate(rows):
-            if any(v != v for v in row.values()):
-                imputed[position] = {
-                    index: (
-                        value
-                        if value == value
-                        else moments.mean(index, default=fill)
-                    )
-                    for index, value in row.items()
-                }
-            else:
-                imputed[position] = row
-        return table.with_column(self.features_column, imputed)
+        values = rows.values.copy()
+        values[missing] = [
+            moments.mean(index, default=fill)
+            for index in rows.indices[missing].tolist()
+        ]
+        return table.with_column(
+            self.features_column,
+            SparseRows(rows.indptr, rows.indices, values),
+        )
 
     def reset(self) -> None:
         self._moments = SparseMoments()
-
-    def _rows(self, batch: Batch) -> Sequence[Dict[int, float]]:
-        table = self._require_table(batch)
-        return table.column(self.features_column)
 
     def _require_table(self, batch: Batch) -> Table:
         if not isinstance(batch, Table):

@@ -3,16 +3,17 @@
 The first component of each paper pipeline turns raw records into typed
 columns. :class:`SvmLightParser` handles the URL dataset's svmlight-like
 text lines (``label index:value index:value ...``); sparse rows come out
-as ``{index: value}`` dictionaries in an object column, which the sparse
-imputer/scaler/hasher downstream understand.
+as one columnar :class:`~repro.data.sparse_rows.SparseRows`, which the
+sparse imputer/scaler/hasher downstream work on as flat arrays.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
+from repro.data.sparse_rows import SparseRows
 from repro.data.table import Table
 from repro.exceptions import PipelineError
 from repro.pipeline.component import (
@@ -30,7 +31,8 @@ class SvmLightParser(StatelessComponent):
     ``nan`` for missing measurements (the imputer's job). Malformed
     lines raise :class:`~repro.exceptions.PipelineError` with the line
     content, because silently dropping training data would bias the
-    model.
+    model. A line naming one index twice keeps the index at its first
+    position with its last value.
 
     Parameters
     ----------
@@ -61,11 +63,16 @@ class SvmLightParser(StatelessComponent):
             )
         lines = batch.column(self.line_column)
         labels = np.empty(len(lines), dtype=np.float64)
-        features = np.empty(len(lines), dtype=object)
+        rows: List[Dict[int, float]] = []
         for position, line in enumerate(lines):
-            labels[position], features[position] = self._parse_line(
-                str(line)
-            )
+            labels[position], row = self._parse_line(str(line))
+            rows.append(row)
+        try:
+            features = SparseRows.of(rows)
+        except OverflowError:
+            raise PipelineError(
+                f"{self.name}: feature index outside the int64 range"
+            ) from None
         return (
             batch.without_columns([self.line_column])
             .with_column(self.label_column, labels)

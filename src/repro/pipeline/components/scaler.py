@@ -2,9 +2,9 @@
 
 * :class:`StandardScaler` — dense ``Table`` columns, z-scoring with
   running mean/std (Welford); the paper's canonical stateful component.
-* :class:`SparseStandardScaler` — ``{index: value}`` sparse rows;
-  scales by per-index std *without centering* (centering would destroy
-  sparsity, the property §3.2.1 relies on for O(p) storage).
+* :class:`SparseStandardScaler` — sparse rows; scales by per-index
+  std *without centering* (centering would destroy sparsity, the
+  property §3.2.1 relies on for O(p) storage).
 * :class:`MinMaxScaler` — dense columns, scaling to [0, 1] via running
   extrema.
 """
@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.data.sparse_rows import SparseRows
 from repro.data.table import Table
 from repro.exceptions import NotFittedError, PipelineError, ValidationError
 from repro.pipeline.component import Batch, ComponentKind, PipelineComponent
@@ -159,7 +160,7 @@ class MinMaxScaler(_ColumnwiseScaler):
 
 
 class SparseStandardScaler(PipelineComponent):
-    """Scale sparse-dict rows by per-index running std (no centering).
+    """Scale sparse rows by per-index running std (no centering).
 
     Indices with no statistics yet (or zero variance) pass through
     unscaled — scaling a brand-new feature by a guessed std would add
@@ -187,15 +188,14 @@ class SparseStandardScaler(PipelineComponent):
 
     def transform(self, batch: Batch) -> Batch:
         table = self._require_table(batch)
-        rows = table.column(self.features_column)
-        moments = self._moments
-        scaled = np.empty(len(rows), dtype=object)
-        for position, row in enumerate(rows):
-            scaled[position] = {
-                index: value / moments.std(index, default=1.0)
-                for index, value in row.items()
-            }
-        return table.with_column(self.features_column, scaled)
+        rows = SparseRows.of(table.column(self.features_column))
+        # One std per distinct index, then one vectorized divide.
+        distinct, inverse = np.unique(rows.indices, return_inverse=True)
+        stds = self._moments.stds(distinct.tolist(), default=1.0)
+        return table.with_column(
+            self.features_column,
+            SparseRows(rows.indptr, rows.indices, rows.values / stds[inverse]),
+        )
 
     def std(self, index: int) -> float:
         """Running std for one feature index (1.0 when unseen)."""

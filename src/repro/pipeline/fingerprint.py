@@ -24,8 +24,8 @@ upstream component's fingerprint actually changed.
 
 Serialization is canonical: attributes are visited in sorted order,
 numpy arrays hash as ``dtype + shape + bytes``, nested objects recurse
-through their ``__dict__``, so identical state always produces
-identical digests.
+through their ``__dict__`` and ``__slots__``, so identical state always
+produces identical digests and different statistics different ones.
 """
 
 from __future__ import annotations
@@ -109,15 +109,37 @@ def _canonical(value: Any, depth: int = 0) -> Any:
                 for key in sorted(value, key=str)
             ]
         }
-    if hasattr(value, "__dict__"):
+    attrs = _attributes(value)
+    if attrs is not None:
         return {
             "__obj__": type(value).__qualname__,
             "attrs": [
                 [key, _canonical(attr, depth + 1)]
-                for key, attr in sorted(vars(value).items())
+                for key, attr in sorted(attrs.items())
             ],
         }
     return {"__repr__": repr(value)}
+
+
+def _attributes(value: Any) -> Dict[str, Any] | None:
+    """An object's instance attributes, ``__slots__`` ones included.
+
+    ``None`` when it has neither a ``__dict__`` nor set slots; such
+    values fall back to their ``repr``. A slotted statistics object
+    (``SparseMoments``) has no ``__dict__``, and its ``repr`` does not
+    show the statistics, so slots must be read to tell states apart.
+    """
+    attrs = dict(vars(value)) if hasattr(value, "__dict__") else {}
+    for cls in type(value).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for slot in (slots,) if isinstance(slots, str) else slots:
+            if slot not in ("__dict__", "__weakref__") and hasattr(
+                value, slot
+            ):
+                attrs[slot] = getattr(value, slot)
+    if not attrs and not hasattr(value, "__dict__"):
+        return None
+    return attrs
 
 
 def _digest_of(payload: Any) -> str:

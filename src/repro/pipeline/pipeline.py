@@ -10,11 +10,27 @@ Both paths run the *same* components in the same order, which is the
 paper's train/serve-consistency argument (§4.3). An optional
 :class:`~repro.execution.cost.CostTracker` receives per-component
 charges so experiments can attribute deployment cost to preprocessing.
+
+The prequential loop sends every chunk down both paths: once to answer
+its queries, once to train on it. The leading stateless components
+(the *stateless head*, e.g. the URL parser) give the same output both
+times, so a pipeline remembers the head's output for the last batch it
+saw and reuses it when the very same batch object comes back.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.exceptions import PipelineError
 from repro.pipeline.component import Batch, Features, PipelineComponent
@@ -49,6 +65,16 @@ class Pipeline:
                 )
             names.add(component.name)
         self._components: List[PipelineComponent] = components
+        self._memo: Optional[_HeadMemo] = None
+
+    # The memo is a cache of derived data, never state: pickles, deep
+    # copies and checkpoints carry the components only.
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"_components": self._components}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._memo = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -100,8 +126,8 @@ class Pipeline:
         for the update scan and a ``transform`` line for the transform
         scan, each proportional to the batch's value count.
         """
-        current = batch
-        for component in self._components:
+        current, start = self._stateless_head(batch, tracker)
+        for component in self._components[start:]:
             values = PipelineComponent.batch_num_values(current)
             if component.is_stateful:
                 component.update(current)
@@ -118,13 +144,46 @@ class Pipeline:
         tracker: Optional["CostTracker"] = None,
     ) -> Batch:
         """Serving / re-materialization path: transform only."""
-        current = batch
-        for component in self._components:
+        current, start = self._stateless_head(batch, tracker)
+        for component in self._components[start:]:
             values = PipelineComponent.batch_num_values(current)
             current = component.transform(current)
             if tracker is not None:
                 tracker.charge_transform(values, component.name)
         return current
+
+    def _stateless_head(
+        self, batch: Batch, tracker: Optional["CostTracker"]
+    ) -> Tuple[Batch, int]:
+        """Run (or reuse) the leading stateless components on ``batch``.
+
+        Returns the head's output and the position of the first
+        component after it. The head stops at the first stateful
+        component and never includes the terminal one, so each call
+        still builds its own model-ready output. A memo hit requires
+        the identical batch object (held by strong reference, so its
+        ``id`` cannot be reused) and replays the head's transform
+        charges, so cost trajectories do not depend on hits.
+        """
+        memo = self._memo
+        if memo is not None and memo.batch is batch:
+            if tracker is not None:
+                for values, name in memo.charges:
+                    tracker.charge_transform(values, name)
+            return memo.output, len(memo.charges)
+        current = batch
+        charges: List[Tuple[int, str]] = []
+        for component in self._components[:-1]:
+            if component.is_stateful:
+                break
+            values = PipelineComponent.batch_num_values(current)
+            current = component.transform(current)
+            charges.append((values, component.name))
+            if tracker is not None:
+                tracker.charge_transform(values, component.name)
+        if charges:
+            self._memo = _HeadMemo(batch, current, tuple(charges))
+        return current, len(charges)
 
     def transform_to_features(
         self,
@@ -158,3 +217,12 @@ class Pipeline:
         """Reset the statistics of every component."""
         for component in self._components:
             component.reset()
+
+
+class _HeadMemo(NamedTuple):
+    """The stateless head's output for one input batch."""
+
+    batch: Batch
+    output: Batch
+    #: ``(values, component name)`` per head component, in order.
+    charges: Tuple[Tuple[int, str], ...]

@@ -17,10 +17,11 @@ can be combined, mirroring distributed execution.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.data.sparse_rows import SparseRows
 from repro.exceptions import NotFittedError, ValidationError
 
 
@@ -252,10 +253,11 @@ class RunningMinMax:
 class SparseMoments:
     """Streaming mean/variance keyed by feature index.
 
-    Backs the sparse (URL-style) imputer and scaler: features live in
-    dict-of-``{index: value}`` rows and the set of indices grows over
-    time, so statistics are kept in a dictionary rather than a dense
-    vector. Each index gets a scalar Welford accumulator.
+    Backs the sparse (URL-style) imputer and scaler: the set of feature
+    indices grows over time, so statistics are kept in a dictionary
+    rather than a dense vector. Each index gets a scalar Welford
+    accumulator, updated value by value in row-major order: a
+    vectorized update would reorder the additions and move low bits.
     """
 
     __slots__ = ("_stats",)
@@ -265,23 +267,23 @@ class SparseMoments:
         self._stats: Dict[int, List[float]] = {}
 
     def update(self, rows: Iterable[Dict[int, float]]) -> None:
-        """Fold an iterable of sparse rows into the moments.
+        """Fold sparse rows (``SparseRows`` or dicts) into the moments.
 
         NaN values are skipped (they are what the imputer must fill).
         """
+        rows = SparseRows.of(rows)
         stats = self._stats
-        for row in rows:
-            for index, value in row.items():
-                if value != value:  # NaN check without np call per value
-                    continue
-                entry = stats.get(index)
-                if entry is None:
-                    stats[index] = [1.0, float(value), 0.0]
-                    continue
-                entry[0] += 1.0
-                delta = value - entry[1]
-                entry[1] += delta / entry[0]
-                entry[2] += delta * (value - entry[1])
+        for index, value in zip(rows.indices.tolist(), rows.values.tolist()):
+            if value != value:  # NaN check without np call per value
+                continue
+            entry = stats.get(index)
+            if entry is None:
+                stats[index] = [1.0, value, 0.0]
+                continue
+            entry[0] += 1.0
+            delta = value - entry[1]
+            entry[1] += delta / entry[0]
+            entry[2] += delta * (value - entry[1])
 
     def merge(self, other: "SparseMoments") -> None:
         """Fold another accumulator into this one (Chan merge per key)."""
@@ -304,13 +306,27 @@ class SparseMoments:
 
     def std(self, index: int, default: float = 1.0) -> float:
         """Population std of ``index`` (``default`` if unseen or zero)."""
-        entry = self._stats.get(index)
-        if entry is None or entry[0] < 1:
-            return default
-        variance = entry[2] / entry[0]
-        if variance <= 0.0:
-            return default
-        return float(np.sqrt(variance))
+        return float(self.stds([index], default)[0])
+
+    def stds(self, indices: Sequence[int], default: float = 1.0) -> np.ndarray:
+        """:meth:`std` of each index in ``indices``, as one array.
+
+        The variances are gathered as Python floats, then one
+        ``np.sqrt`` runs over them. IEEE square root is correctly
+        rounded, so each entry has the bits of a scalar square root.
+        A NaN variance gives NaN, since ``NaN <= 0`` is false.
+        """
+        get = self._stats.get
+        entries = [get(index) for index in indices]
+        variances = [
+            0.0 if entry is None or entry[0] < 1 else entry[2] / entry[0]
+            for entry in entries
+        ]
+        variance = np.array(variances, dtype=np.float64)
+        fallback = variance <= 0.0
+        return np.where(
+            fallback, default, np.sqrt(np.where(fallback, 1.0, variance))
+        )
 
     def count(self, index: int) -> int:
         entry = self._stats.get(index)

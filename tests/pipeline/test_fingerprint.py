@@ -118,3 +118,69 @@ class TestCanonical:
         # Terminates; the innermost level is the guard marker.
         text = str(rendered)
         assert "__deep__" in text
+
+
+def sparse_rows_table(*values):
+    from repro.data.sparse_rows import SparseRows
+
+    return Table(
+        {
+            "label": np.ones(len(values)),
+            "features": SparseRows.of([{0: value} for value in values]),
+        }
+    )
+
+
+class TestSparseStatisticsFingerprint:
+    """Slotted ``SparseMoments`` must reach the ``stats`` digest."""
+
+    def fitted(self, *values):
+        from repro.pipeline.components.scaler import SparseStandardScaler
+
+        component = SparseStandardScaler(name="scaler")
+        component.update(sparse_rows_table(*values))
+        return component
+
+    def test_different_statistics_different_digests(self):
+        narrow, wide = self.fitted(1.0, 3.0), self.fitted(1.0, 300.0)
+        assert narrow.std(0) == 1.0 and wide.std(0) == 149.5
+        narrow_fp = component_fingerprint(narrow)
+        wide_fp = component_fingerprint(wide)
+        assert narrow_fp["stats"] != wide_fp["stats"]
+        assert narrow_fp["digest"] != wide_fp["digest"]
+        assert narrow_fp["code"] == wide_fp["code"]
+        assert narrow_fp["config"] == wide_fp["config"]
+
+    def test_equal_statistics_equal_digests(self):
+        assert component_fingerprint(
+            self.fitted(1.0, 3.0)
+        ) == component_fingerprint(self.fitted(1.0, 3.0))
+
+    def test_imputer_statistics_reach_the_digest(self):
+        from repro.pipeline.components.imputer import SparseMeanImputer
+
+        first, second = SparseMeanImputer(), SparseMeanImputer()
+        first.update(sparse_rows_table(1.0))
+        second.update(sparse_rows_table(2.0))
+        assert (
+            component_fingerprint(first)["stats"]
+            != component_fingerprint(second)["stats"]
+        )
+
+    def test_slots_are_rendered(self):
+        from repro.pipeline.statistics import SparseMoments
+
+        moments = SparseMoments()
+        moments.update([{4: 2.0}])
+        rendered = _canonical(moments)
+        assert rendered["__obj__"] == "SparseMoments"
+        assert [key for key, __ in rendered["attrs"]] == ["_stats"]
+
+    def test_hasher_fingerprint_unchanged_by_transforms(self):
+        from repro.pipeline.components.hasher import FeatureHasher
+
+        hasher = FeatureHasher(num_features=16, name="hasher")
+        before = component_fingerprint(hasher)
+        for values in ((1.0, 2.0), (5.0,), ()):
+            hasher.transform(sparse_rows_table(*values))
+        assert component_fingerprint(hasher) == before
